@@ -80,12 +80,12 @@
 // A PlacementPolicy (PlacementByName: reactive, ewma, trend, ewma-hys)
 // watches each episode's arrival lags and predicts who will be late
 // next; WithPlacementPolicy hands one to the ReconfigurableBarrier,
-// which rebuilds its tree at the quiescent release point with predicted
-// stragglers in the shallowest slots — an MCS-shaped epoch, where the
-// root's local slot is the unique depth-1 position — so a straggler's
-// late arrival climbs one counter instead of a leaf-to-root path
-// (ReconfigStats.Placements counts these in-place rebuilds, Depths
-// exposes the current placement). The ewma and trend policies average
+// which relabels its participants at the quiescent release point with
+// predicted stragglers in the shallowest slots — an MCS-shaped epoch,
+// where the root's local slot is the unique depth-1 position — so a
+// straggler's late arrival climbs one counter instead of a leaf-to-root
+// path (ReconfigStats.Placements counts these relabels, Depths exposes
+// the current placement). The ewma and trend policies average
 // or extrapolate lag history so one noisy episode does not reorder the
 // tree, and ewma-hys adds hysteresis against σ-level rank churn.
 // WithPlacement applies a fixed laggiest-first order to the static

@@ -99,7 +99,7 @@ type Stats struct {
 	Evals uint64
 	// Deferred counts plans suppressed by the MinEpisodesBetween floor.
 	Deferred uint64
-	// Placements counts placement-only rebuilds: same configuration,
+	// Placements counts placement-only changes: same configuration,
 	// slots re-ordered by a placement policy's predicted-straggler order.
 	Placements uint64
 	// LastPlan is the most recently committed plan; for a barrier that
@@ -309,8 +309,8 @@ func (c *Controller) Commit(plan Plan) {
 	c.mu.Unlock()
 }
 
-// NotePlacement records a placement-only rebuild: the epoch's P/degree
-// stand, but the tree was rebuilt with a placement policy's new
+// NotePlacement records a placement-only change: the epoch's P/degree
+// stand, but participants were re-placed by a placement policy's new
 // predicted-straggler order. Called by the releasing participant.
 func (c *Controller) NotePlacement() {
 	c.mu.Lock()

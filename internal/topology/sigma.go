@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PlaceByDepth returns a clone of the tree with processors reassigned to
 // attachment slots by depth: order[0] takes the shallowest slot (for an
@@ -31,40 +28,51 @@ func (t *Tree) PlaceByDepth(order []int) (*Tree, error) {
 		seen[p] = true
 	}
 
-	// Enumerate the attachment slots, shallowest first. Ties break by
-	// counter id then slot index, so the assignment is deterministic.
-	type slot struct {
-		counter int
-		idx     int // index into Counters[counter].Procs
-		depth   int
-	}
-	var slots []slot
-	for ci := range t.Counters {
-		d := t.Depth(ci)
-		for i := range t.Counters[ci].Procs {
-			slots = append(slots, slot{counter: ci, idx: i, depth: d})
-		}
-	}
-	sort.SliceStable(slots, func(a, b int) bool {
-		if slots[a].depth != slots[b].depth {
-			return slots[a].depth < slots[b].depth
-		}
-		if slots[a].counter != slots[b].counter {
-			return slots[a].counter < slots[b].counter
-		}
-		return slots[a].idx < slots[b].idx
-	})
-
 	nt := t.Clone()
-	for k, s := range slots {
-		p := order[k]
-		old := t.Counters[s.counter].Procs[s.idx]
-		nt.Counters[s.counter].Procs[s.idx] = p
-		if t.Counters[s.counter].Local == old {
-			nt.Counters[s.counter].Local = p
+	idx := 0 // slot index within the current counter's Procs
+	slots := t.SlotsByDepth()
+	for k, c := range slots {
+		if k > 0 && slots[k-1] != c {
+			idx = 0
 		}
-		nt.first[p] = s.counter
+		p := order[k]
+		old := t.Counters[c].Procs[idx]
+		nt.Counters[c].Procs[idx] = p
+		if t.Counters[c].Local == old {
+			nt.Counters[c].Local = p
+		}
+		nt.first[p] = c
 		nt.ringOf[p] = t.ringOf[old]
+		idx++
 	}
 	return nt, nil
+}
+
+// SlotsByDepth lists the tree's attachment slots shallowest first, one
+// entry per slot holding the counter the slot belongs to: slots[k] is the
+// k-th shallowest slot's counter, and a participant placed there starts
+// its ascent at it. Ties break by counter id, then by slot index within
+// the counter (a counter's slots are adjacent in the list), so the
+// listing is deterministic. PlaceByDepth assigns order[k] to slot k, so
+// relabelling first[order[k]] = slots[k] reproduces its placement
+// without cloning the tree.
+func (t *Tree) SlotsByDepth() []int {
+	depth := make([]int, len(t.Counters))
+	deepest := 0
+	for c := range t.Counters {
+		depth[c] = t.Depth(c)
+		deepest = max(deepest, depth[c])
+	}
+	slots := make([]int, 0, t.P)
+	for d := 1; d <= deepest; d++ {
+		for c := range t.Counters {
+			if depth[c] != d {
+				continue
+			}
+			for range t.Counters[c].Procs {
+				slots = append(slots, c)
+			}
+		}
+	}
+	return slots
 }

@@ -112,3 +112,35 @@ func TestPlaceByDepthDoesNotMutateOriginal(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotsByDepth pins the slot listing PlaceByDepth is built on: one
+// entry per attachment slot, depths non-decreasing, counter ids ascending
+// within a depth, and each counter listed once per attached processor.
+func TestSlotsByDepth(t *testing.T) {
+	for _, tr := range []*Tree{NewMCS(13, 3), NewMCS(64, 4), NewClassic(9, 3), NewClassic(70, 8), NewMCS(1, 2)} {
+		slots := tr.SlotsByDepth()
+		if len(slots) != tr.P {
+			t.Fatalf("%v p=%d: %d slots, want %d", tr.Kind, tr.P, len(slots), tr.P)
+		}
+		count := make([]int, len(tr.Counters))
+		for k, c := range slots {
+			count[c]++
+			if k == 0 {
+				continue
+			}
+			prev := slots[k-1]
+			if d, pd := tr.Depth(c), tr.Depth(prev); d < pd || (d == pd && c < prev) {
+				t.Fatalf("%v p=%d: slot %d (counter %d, depth %d) listed after counter %d at depth %d",
+					tr.Kind, tr.P, k, c, d, prev, pd)
+			}
+		}
+		for c, n := range count {
+			if n != len(tr.Counters[c].Procs) {
+				t.Fatalf("%v p=%d: counter %d listed %d times, has %d slots", tr.Kind, tr.P, c, n, len(tr.Counters[c].Procs))
+			}
+		}
+	}
+	if got := NewMCS(13, 3).SlotsByDepth()[0]; got != NewMCS(13, 3).Root {
+		t.Fatalf("MCS shallowest slot on counter %d, want the root", got)
+	}
+}

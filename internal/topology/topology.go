@@ -98,6 +98,11 @@ type Tree struct {
 // FirstCounter returns the counter processor p starts its ascent at.
 func (t *Tree) FirstCounter(p int) int { return t.first[p] }
 
+// FirstCounters returns the whole first-counter table: entry p is
+// FirstCounter(p). It is the tree's own table, not a copy; callers must
+// not modify it, and a Swap changes it.
+func (t *Tree) FirstCounters() []int { return t.first }
+
 // RingOf returns the ring processor p belongs to, or -1.
 func (t *Tree) RingOf(p int) int { return t.ringOf[p] }
 

@@ -207,7 +207,13 @@ type pipe struct {
 	rst     bool // a write already landed after rclosed: the RST is back
 
 	rdeadline, wdeadline time.Time
-	rtimer, wtimer       *time.Timer
+
+	// timer wakes ops blocked past a deadline. It is created on the first
+	// block under a deadline and re-armed with Reset after that, so
+	// setting a deadline never allocates; armed is when it is due to fire
+	// (zero when it is not pending).
+	timer *time.Timer
+	armed time.Time
 }
 
 func newPipe() *pipe {
@@ -240,7 +246,7 @@ func (p *pipe) read(b []byte) (int, error) {
 			// the frame reader distinguishes clean EOF from a mid-frame cut.
 			return 0, io.EOF
 		}
-		if !p.rdeadline.IsZero() && !time.Now().Before(p.rdeadline) {
+		if p.expired(p.rdeadline) {
 			return 0, &net.OpError{Op: "read", Net: "mem", Err: os.ErrDeadlineExceeded}
 		}
 		p.cond.Wait()
@@ -279,7 +285,7 @@ func (p *pipe) write(b []byte) (int, error) {
 		if len(b) == 0 {
 			return total, nil
 		}
-		if !p.wdeadline.IsZero() && !time.Now().Before(p.wdeadline) {
+		if p.expired(p.wdeadline) {
 			return total, &net.OpError{Op: "write", Net: "mem", Err: os.ErrDeadlineExceeded}
 		}
 		p.cond.Wait()
@@ -300,38 +306,55 @@ func (p *pipe) closeRead() {
 	p.mu.Unlock()
 }
 
-// setReadDeadline arms the read half's deadline: blocked reads are woken
-// when it expires (a deadline already in the past wakes them now, the
-// unblock the cancellation machinery relies on).
+// expired reports whether deadline (zero = none) has passed. If it has
+// not, the caller is about to block, so the timer is armed to wake it by
+// the deadline: a timer already due no later is left alone (an earlier
+// firing is a spurious wake-up, after which the op re-arms). p.mu must be
+// held.
+func (p *pipe) expired(deadline time.Time) bool {
+	if deadline.IsZero() {
+		return false
+	}
+	d := time.Until(deadline)
+	if d <= 0 {
+		return true
+	}
+	if !p.armed.IsZero() && !p.armed.After(deadline) {
+		return false
+	}
+	p.armed = deadline
+	if p.timer == nil {
+		p.timer = time.AfterFunc(d, p.wake)
+	} else {
+		p.timer.Reset(d)
+	}
+	return false
+}
+
+// wake is the timer's callback: it wakes every blocked op to re-check its
+// deadline.
+func (p *pipe) wake() {
+	p.mu.Lock()
+	p.armed = time.Time{}
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// setReadDeadline sets the read half's deadline. Blocked reads re-check
+// it at once, so a deadline already in the past fails them now (the
+// unblock the cancellation machinery relies on) and a future one arms the
+// timer that fails them at expiry.
 func (p *pipe) setReadDeadline(t time.Time) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.rdeadline = t
-	if p.rtimer != nil {
-		p.rtimer.Stop()
-		p.rtimer = nil
-	}
-	if !t.IsZero() {
-		if d := time.Until(t); d > 0 {
-			p.rtimer = time.AfterFunc(d, p.cond.Broadcast)
-		}
-	}
 	p.cond.Broadcast()
+	p.mu.Unlock()
 }
 
+// setWriteDeadline is setReadDeadline for the write half.
 func (p *pipe) setWriteDeadline(t time.Time) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.wdeadline = t
-	if p.wtimer != nil {
-		p.wtimer.Stop()
-		p.wtimer = nil
-	}
-	if !t.IsZero() {
-		if d := time.Until(t); d > 0 {
-			p.wtimer = time.AfterFunc(d, p.cond.Broadcast)
-		}
-	}
 	p.cond.Broadcast()
+	p.mu.Unlock()
 }
-

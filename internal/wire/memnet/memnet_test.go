@@ -268,3 +268,134 @@ func TestMemNetConcurrentConns(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// dialPair returns both ends of a fresh memnet connection.
+func dialPair(t *testing.T) (client, server wire.Conn) {
+	t.Helper()
+	n := New()
+	ln, err := n.Listen("x:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan wire.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	client, err = n.Dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server = <-accepted
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// blockedRead starts a read on c and returns the channel its error lands
+// on, after giving it time to block.
+func blockedRead(c wire.Conn) <-chan error {
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 1))
+		got <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	return got
+}
+
+// TestMemNetDeadlineExtendedWhileBlocked: moving a blocked read's deadline
+// later keeps it blocked past the old deadline and fails it at the new
+// one.
+func TestMemNetDeadlineExtendedWhileBlocked(t *testing.T) {
+	c, _ := dialPair(t)
+	start := time.Now()
+	c.SetReadDeadline(start.Add(40 * time.Millisecond))
+	got := blockedRead(c)
+	c.SetReadDeadline(start.Add(200 * time.Millisecond))
+	select {
+	case err := <-got:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("read error = %v; want deadline exceeded", err)
+		}
+		if since := time.Since(start); since < 200*time.Millisecond {
+			t.Fatalf("read failed after %v, before its extended deadline", since)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("extended deadline never fired")
+	}
+}
+
+// TestMemNetDeadlineClearedWhileBlocked: clearing a blocked read's deadline
+// keeps it blocked past the old deadline until data arrives.
+func TestMemNetDeadlineClearedWhileBlocked(t *testing.T) {
+	c, s := dialPair(t)
+	c.SetReadDeadline(time.Now().Add(40 * time.Millisecond))
+	got := blockedRead(c)
+	c.SetReadDeadline(time.Time{})
+	select {
+	case err := <-got:
+		t.Fatalf("read returned %v after its deadline was cleared", err)
+	case <-time.After(150 * time.Millisecond):
+	}
+	if _, err := s.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("read error = %v after data arrived", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read never saw the written byte")
+	}
+}
+
+// TestMemNetWriteDeadlineWhileBlocked: a write blocked on a full pipe with
+// no deadline fails when a future deadline set afterwards expires.
+func TestMemNetWriteDeadlineWhileBlocked(t *testing.T) {
+	c, _ := dialPair(t)
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Write(make([]byte, 2*bufCap)) // the peer never reads
+		got <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-got:
+		t.Fatalf("write into a full pipe returned %v without a deadline", err)
+	default:
+	}
+	start := time.Now()
+	c.SetWriteDeadline(start.Add(50 * time.Millisecond))
+	select {
+	case err := <-got:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("write error = %v; want deadline exceeded", err)
+		}
+		if since := time.Since(start); since < 50*time.Millisecond {
+			t.Fatalf("write failed after %v, before its deadline", since)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("deadline never failed the blocked write")
+	}
+}
+
+// TestMemNetSetDeadlineZeroAlloc: setting a deadline only stores it — the
+// per-call timer it used to arm was a large share of a memnet episode's
+// CPU and allocations.
+func TestMemNetSetDeadlineZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; alloc gate runs in the non-race matrix")
+	}
+	c, _ := dialPair(t)
+	dl := time.Now().Add(time.Hour)
+	if n := testing.AllocsPerRun(100, func() {
+		c.SetReadDeadline(dl)
+		c.SetWriteDeadline(dl)
+		c.SetReadDeadline(time.Time{})
+		c.SetWriteDeadline(time.Time{})
+	}); n != 0 {
+		t.Fatalf("setting deadlines allocated %.2f times per call set, want 0", n)
+	}
+}

@@ -34,14 +34,16 @@ func PlacementNames() []string { return loadmodel.PolicyNames() }
 // WithPlacementPolicy arms predictive straggler placement on barriers
 // that can rebuild their tree: every episode the releasing participant
 // feeds the measured per-participant lags to pol, and at the replan
-// cadence a changed Order triggers a placement-only rebuild that puts
-// predicted stragglers in the shallowest slots (ReconfigStats.Placements
-// counts these). On ReconfigurableBarrier the epoch trees are built
-// MCS-style when a policy is armed: classic trees put every participant
-// at the same depth, so there would be nothing for placement to choose.
-// Wrap noisy policies in loadmodel.Hysteresis (or use "ewma-hys") to keep
-// σ-level rank jitter from rebuilding the tree every cadence. Barriers
-// that never rebuild (central, sense-reversing, …) ignore the option.
+// cadence a changed Order re-places the participants, putting predicted
+// stragglers in the shallowest slots (ReconfigStats.Placements counts
+// these). ReconfigurableBarrier re-places by relabelling which counter
+// each participant starts at; the tree itself is kept. Its epoch trees
+// are built MCS-style when a policy is armed: classic trees put every
+// participant at the same depth, so there would be nothing for
+// placement to choose. Wrap noisy policies in loadmodel.Hysteresis (or
+// use "ewma-hys") to keep σ-level rank jitter from re-placing
+// participants every cadence. Barriers that never rebuild (central,
+// sense-reversing, …) ignore the option.
 func WithPlacementPolicy(pol PlacementPolicy) Option {
 	return func(o *options) { o.placement = pol }
 }

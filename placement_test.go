@@ -2,9 +2,12 @@ package softbarrier
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"softbarrier/internal/reconfig"
 )
 
 // TestPlacementPolicyCollectiveDifferential checks that predictive
@@ -202,5 +205,119 @@ func TestReconfigurablePredictivePlacement(t *testing.T) {
 	d = b.Depths()
 	if d[2] != shallowest(d) {
 		t.Fatalf("after straggler moved, id 2 at depth %d, shallowest is %d (depths %v)", d[2], shallowest(d), d)
+	}
+}
+
+// TestPlacementRelabelMatchesPlaceByDepth pins the relabel a placement
+// change applies to the one topology.PlaceByDepth builds: for random
+// permutations over P ∈ [1, 70], degree 2–8, MCS and classic trees, every
+// participant's first counter equals the placed clone's, and the table is
+// a bijection onto the tree's attachment slots (every id is placed, and
+// each counter receives exactly as many participants as it has slots).
+// The state the relabel copies from must keep its own table.
+func TestPlacementRelabelMatchesPlaceByDepth(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for p := 1; p <= 70; p++ {
+		for d := 2; d <= 8; d++ {
+			for _, mcs := range []bool{true, false} {
+				st := newRCState(nil, reconfig.Plan{P: p, Degree: d}, 0, mcs)
+				natural := append([]int(nil), st.first...)
+				order := rng.Perm(p)
+				next := st.withPlacement(order, 1)
+
+				placed := placeTree(st.tree, order)
+				load := make([]int, len(st.tree.Counters))
+				for id := 0; id < p; id++ {
+					c := next.first[id]
+					if want := placed.FirstCounter(id); c != want {
+						t.Fatalf("p=%d d=%d mcs=%v order=%v: id %d relabelled to counter %d, PlaceByDepth puts it on %d",
+							p, d, mcs, order, id, c, want)
+					}
+					load[c]++
+				}
+				for c := range load {
+					if want := len(st.tree.Counters[c].Procs); load[c] != want {
+						t.Fatalf("p=%d d=%d mcs=%v: counter %d holds %d participants, has %d slots",
+							p, d, mcs, c, load[c], want)
+					}
+				}
+				for id, c := range st.first {
+					if c != natural[id] {
+						t.Fatalf("p=%d d=%d mcs=%v: relabel rewrote the source state's first[%d]", p, d, mcs, id)
+					}
+				}
+			}
+		}
+	}
+}
+
+// alternatingPolicy is a stub PlacementPolicy that emits two preallocated
+// orders in turn, or no opinion once frozen.
+type alternatingPolicy struct {
+	orders [2][]int
+	n      int
+	frozen bool
+}
+
+func (a *alternatingPolicy) Observe([]float64) {}
+func (a *alternatingPolicy) String() string    { return "alternating" }
+func (a *alternatingPolicy) Order() []int {
+	if a.frozen {
+		return nil
+	}
+	a.n++
+	return a.orders[a.n%2]
+}
+
+// TestPlacementEpisodeAllocs gates the cost of a placement change: with a
+// policy whose order changes every episode, each episode re-places the
+// participants, and that must allocate only the new state header and its
+// first-counter table — not a new tree, counters or generation slots.
+// Episodes that keep the placement allocate nothing.
+func TestPlacementEpisodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; alloc gate runs in the non-race matrix")
+	}
+	const p = 64
+	pol := &alternatingPolicy{}
+	for k := range pol.orders {
+		pol.orders[k] = make([]int, p)
+	}
+	for id := 0; id < p; id++ {
+		pol.orders[0][id] = id
+		pol.orders[1][id] = p - 1 - id
+	}
+	// Replan every episode, and pin the degree (MinDegreeDelta larger than
+	// any possible move) so every release takes the placement path.
+	b := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 1, MinDegreeDelta: 64},
+		WithPlacementPolicy(pol))
+	episode := func() {
+		for id := 0; id < p; id++ {
+			b.Arrive(id)
+		}
+		for id := 0; id < p; id++ {
+			b.Await(id)
+		}
+	}
+
+	before := b.ReconfigStats()
+	placing := testing.AllocsPerRun(100, episode)
+	after := b.ReconfigStats()
+	if got := after.Placements - before.Placements; got != 101 {
+		t.Fatalf("%d placements over 101 episodes, want one per episode", got)
+	}
+	if after.Rebuilds != before.Rebuilds {
+		t.Fatalf("degree rebuilds ran during the placement episodes (%d → %d)", before.Rebuilds, after.Rebuilds)
+	}
+	if placing > 2 {
+		t.Fatalf("placement episode allocated %.2f times, want ≤ 2 (state header and first table)", placing)
+	}
+
+	pol.frozen = true
+	if steady := testing.AllocsPerRun(100, episode); steady != 0 {
+		t.Fatalf("episode without a placement change allocated %.2f times, want 0", steady)
+	}
+	if got := b.ReconfigStats().Placements; got != after.Placements {
+		t.Fatalf("frozen policy still placed: %d → %d", after.Placements, got)
 	}
 }

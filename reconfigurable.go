@@ -50,17 +50,28 @@ type ReconfigurableBarrier struct {
 }
 
 // rcState is one epoch's rebuildable configuration: the topology, its
-// counters, and the per-participant generation slots.
+// counters, the participant placement, and the per-participant generation
+// slots. A placement change publishes a copy of the header with a new
+// first table; the tree, counters and generation slots are shared.
 type rcState struct {
 	p        int
 	degree   int
 	epoch    uint64
-	epochGen uint64 // gate generation at which this epoch becomes active
+	epochGen uint64 // gate generation at which this state becomes active
 	tree     *topology.Tree
 	counters []treeCounter
-	// order is the placement order the epoch's tree was built with, nil
-	// for the natural ascending-id placement.
+	// first[id] is the counter participant id starts its ascent at: the
+	// tree's own table for the natural placement, or a relabelled copy.
+	// It is never written once published.
+	first []int
+	// order is the placement order first was relabelled with, nil for
+	// the natural ascending-id placement.
 	order []int
+	// slots lists the tree's attachment-slot counters shallowest first
+	// (topology.SlotsByDepth). It is computed on the epoch's first
+	// placement and carried forward by later ones, so an unplaced build
+	// does not pay for it.
+	slots []int
 	// myGen holds each participant's episode generation. It only ever
 	// grows across epochs (shrunk ids keep their slot so their final
 	// Await still reads a valid generation while they drain out).
@@ -144,7 +155,7 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 		func(p int, sigma float64) (int, bool) { return OptimalDegree(p, sigma, b.tc), false },
 		reconfig.Plan{P: p, Degree: cfg.InitialDegree},
 	)
-	st0 := newRCState(nil, b.ctrl.Current(), 0, nil, b.place != nil)
+	st0 := newRCState(nil, b.ctrl.Current(), 0, b.place != nil)
 	b.state.Store(st0)
 	b.red = o.reducer(p, len(st0.counters))
 	b.initPoison(p, o.watchdog, o.poisonNotify,
@@ -165,25 +176,19 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 	return b
 }
 
-// newRCState builds the epoch described by plan, carrying forward the
-// generation slots of prev (nil for the initial epoch). epochGen is the
-// gate generation at which the epoch's first episode runs. order, when
-// it covers plan.P, relabels the tree laggiest-first-shallowest
-// (PlaceByDepth). mcs selects an MCS-shaped tree: a barrier with a
+// newRCState builds the epoch described by plan with its natural
+// placement, carrying forward the generation slots of prev (nil for the
+// initial epoch). epochGen is the gate generation at which the epoch's
+// first episode runs. mcs selects an MCS-shaped tree: a barrier with a
 // placement policy builds MCS epochs, because a classic tree puts every
 // participant at the same (leaf) depth and placement would choose
 // nothing.
-func newRCState(prev *rcState, plan reconfig.Plan, epochGen uint64, order []int, mcs bool) *rcState {
+func newRCState(prev *rcState, plan reconfig.Plan, epochGen uint64, mcs bool) *rcState {
 	var tree *topology.Tree
 	if mcs {
 		tree = topology.NewMCS(plan.P, plan.Degree)
 	} else {
 		tree = topology.NewClassic(plan.P, plan.Degree)
-	}
-	if len(order) == plan.P {
-		tree = placeTree(tree, order)
-	} else {
-		order = nil
 	}
 	st := &rcState{
 		p:        plan.P,
@@ -192,7 +197,7 @@ func newRCState(prev *rcState, plan reconfig.Plan, epochGen uint64, order []int,
 		epochGen: epochGen,
 		tree:     tree,
 		counters: make([]treeCounter, len(tree.Counters)),
-		order:    order,
+		first:    tree.FirstCounters(),
 	}
 	for i := range st.counters {
 		st.counters[i].fanIn = tree.Counters[i].FanIn()
@@ -206,6 +211,25 @@ func newRCState(prev *rcState, plan reconfig.Plan, epochGen uint64, order []int,
 		copy(st.myGen, prev.myGen)
 	}
 	return st
+}
+
+// withPlacement returns a copy of st's header, active from epochGen,
+// whose participants are relabelled by order: order[k] takes the k-th
+// shallowest attachment slot, topology.PlaceByDepth's assignment. order
+// must be a permutation of [0, st.p). st itself is untouched:
+// participants still holding it keep reading its first table.
+func (st *rcState) withPlacement(order []int, epochGen uint64) *rcState {
+	next := *st
+	next.epochGen = epochGen
+	if next.slots == nil {
+		next.slots = st.tree.SlotsByDepth()
+	}
+	next.first = make([]int, st.p)
+	for k, c := range next.slots {
+		next.first[order[k]] = c
+	}
+	next.order = order
+	return &next
 }
 
 // Participants returns the current epoch's participant count. It reflects
@@ -226,14 +250,14 @@ func (b *ReconfigurableBarrier) Sigma() float64 { return b.est.Sigma() }
 // Depths returns the current epoch's per-participant synchronization
 // path lengths — how many counters each participant updates per episode.
 // With a placement policy armed, predicted stragglers show the smallest
-// depths after a placement rebuild. The epoch's tree is immutable, so
-// Depths is safe from any goroutine; it reflects the epoch current at
-// the call.
+// depths after a placement. The epoch's tree and a published placement
+// are immutable, so Depths is safe from any goroutine; it reflects the
+// placement current at the call.
 func (b *ReconfigurableBarrier) Depths() []int {
 	st := b.state.Load()
 	d := make([]int, st.p)
 	for id := range d {
-		d[id] = st.tree.Depth(st.tree.FirstCounter(id))
+		d[id] = st.tree.Depth(st.first[id])
 	}
 	return d
 }
@@ -318,7 +342,7 @@ func (b *ReconfigurableBarrier) Arrive(id int) {
 	b.rec.Arrive(id, gen)
 	st.myGen[id].V = gen
 
-	c := st.tree.FirstCounter(id)
+	c := st.first[id]
 	for c != topology.NoCounter {
 		tc := &st.counters[c]
 		tc.mu.Lock()
@@ -340,9 +364,9 @@ func (b *ReconfigurableBarrier) Arrive(id int) {
 // point for the counters. It folds the measured spread into the σ
 // estimate (and the per-participant lags into the placement policy),
 // asks the controller whether a new epoch is due, applies the plan if
-// so — otherwise rebuilds in place when the policy's predicted-straggler
-// order changed on the replan cadence — emits the episode's telemetry,
-// and opens the gate.
+// so — otherwise relabels the placement when the policy's
+// predicted-straggler order changed on the replan cadence — emits the
+// episode's telemetry, and opens the gate.
 func (b *ReconfigurableBarrier) release(st *rcState) {
 	seq := b.gate.Seq()
 	m, _ := b.rec.Measure(seq)
@@ -395,7 +419,10 @@ func (b *ReconfigurableBarrier) apply(prev *rcState, plan reconfig.Plan, epochGe
 		// to the identity order.
 		order = prev.order
 	}
-	next := newRCState(prev, plan, epochGen, order, b.place != nil)
+	next := newRCState(prev, plan, epochGen, b.place != nil)
+	if order != nil {
+		next = next.withPlacement(order, epochGen)
+	}
 	if plan.P != prev.p {
 		b.rec.Resize(plan.P)
 		b.resizeArrivals(plan.P)
@@ -408,16 +435,15 @@ func (b *ReconfigurableBarrier) apply(prev *rcState, plan reconfig.Plan, epochGe
 	b.ctrl.Commit(plan)
 }
 
-// applyPlacement rebuilds the running epoch's tree with a new placement
-// order — same P, degree and epoch number, slots re-labelled so order[k]
-// sits on the k-th shallowest slot. Like apply it runs only at the
-// quiescent release point; ReconfigStats.Placements counts these
-// rebuilds.
+// applyPlacement re-places the running epoch's participants by order —
+// same tree, counters and generation slots, with order[k] on the k-th
+// shallowest slot — by publishing a copy of the state header with a
+// relabelled first table. Like apply it runs only at the quiescent
+// release point, where every counter is back at zero and the reducer's
+// node accumulators are empty; ReconfigStats.Placements counts these
+// relabels.
 func (b *ReconfigurableBarrier) applyPlacement(prev *rcState, order []int, epochGen uint64) {
-	plan := b.ctrl.Current()
-	next := newRCState(prev, plan, epochGen, order, b.place != nil)
-	b.red.Resize(plan.P, len(next.counters))
-	b.state.Store(next)
+	b.state.Store(prev.withPlacement(order, epochGen))
 	b.ctrl.NotePlacement()
 }
 
@@ -550,7 +576,7 @@ func (b *ReconfigurableBarrier) arriveColl(id int, in []byte, mode uint8, root i
 		carry = in
 	}
 
-	c := st.tree.FirstCounter(id)
+	c := st.first[id]
 	for c != topology.NoCounter {
 		tc := &st.counters[c]
 		tc.mu.Lock()
