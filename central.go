@@ -35,7 +35,7 @@ func NewCentral(p int, opts ...Option) *CentralBarrier {
 	b := &CentralBarrier{p: p, local: make([]rt.PaddedUint64, p)}
 	b.gate.Init(o.policy)
 	b.rec = o.recorder(p, false)
-	b.initPoison(p, o.watchdog, o.poisonNotify,
+	b.initPoison(p, o.watchdog,
 		func() { b.gate.Poison() },
 		func() {
 			b.count.Store(0) // drop the aborted episode's partial arrivals

@@ -58,7 +58,7 @@ func NewDissemination(p int, opts ...Option) *DisseminationBarrier {
 	}
 	b.state = make([]dissState, p)
 	b.rec = o.recorder(p, false)
-	b.initPoison(p, o.watchdog, o.poisonNotify,
+	b.initPoison(p, o.watchdog,
 		func() {
 			// No central gate: waking everyone means poisoning every round
 			// flag — each participant is parked on (at most) one of its own.

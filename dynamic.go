@@ -112,7 +112,7 @@ func NewDynamicFromTree(tree *topology.Tree, opts ...Option) *DynamicBarrier {
 	b.gate.Init(o.policy)
 	b.rec = o.recorder(tree.P, false)
 	b.red = o.reducer(tree.P, len(tree.Counters))
-	b.initPoison(tree.P, o.watchdog, o.poisonNotify,
+	b.initPoison(tree.P, o.watchdog,
 		func() { b.gate.Poison() },
 		func() {
 			// Drop the aborted episode's partial counts. The placement
@@ -165,12 +165,6 @@ func (b *DynamicBarrier) DepthOf(id int) int {
 		c = b.counters[c].parent
 	}
 	return n
-}
-
-// LagsInto reads the given episode's per-participant arrival lags into
-// dst — see TreeBarrier.LagsInto. Releaser-only; nil without an observer.
-func (b *DynamicBarrier) LagsInto(episode uint64, dst []float64) []float64 {
-	return b.rec.LagsInto(episode, dst)
 }
 
 // Wait blocks until all participants arrive.
@@ -315,15 +309,6 @@ func (b *DynamicBarrier) AwaitResult(id int, out []byte) error {
 	}
 	checkID(id, b.p)
 	return b.finishColl(id, b.myGen[id].V, true, out)
-}
-
-// Reduced returns the published reduction of the given episode — see
-// TreeBarrier.Reduced.
-func (b *DynamicBarrier) Reduced(episode uint64) []byte {
-	if b.red == nil {
-		return nil
-	}
-	return b.red.Result(episode)
 }
 
 // arriveColl is Arrive carrying a payload; see TreeBarrier.arriveColl.

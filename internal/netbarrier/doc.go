@@ -9,24 +9,26 @@
 // shifts over time. Each session therefore measures the spread of its
 // remote arrivals per episode exactly as the in-process barriers do (the
 // shared internal/runtime recorder), folds it into an EWMA σ, and at
-// episode boundaries asks the planner (softbarrier.RecommendMeasured) for
-// the degree that σ justifies; when the recommendation moves, the arrival
-// tree is rebuilt at the new degree during the release — a quiescent
-// point, so the swap is a plain pointer store. With Options.Dynamic the
-// planner selects the dynamic-placement tree instead, and consistently
-// slow clients migrate toward the root between episodes.
+// episode boundaries asks the planner (softbarrier.RecommendConfig) for
+// the degree that σ justifies. The session's combining core is the
+// paper's counters driven directly by the members' arrival frames, each
+// keyed by the episode the frame carries; when the recommendation moves,
+// the core's per-epoch header is rebuilt at the new degree during the
+// release — a quiescent point, so the swap is a plain pointer store. With
+// Options.Dynamic the planner selects dynamic placement instead, and
+// consistently slow clients migrate toward the root between episodes.
 //
-// Failure semantics are the PR-3 poison machinery end to end. Whatever
-// kills an episode — a client disconnecting mid-session, a stall caught
-// by the WithWatchdog detector, a protocol violation, server shutdown —
-// poisons the session's tree, and the WithPoisonNotify hook broadcasts
-// the softbarrier.EncodePoisonCause wire form of the cause to every
+// Failure semantics are the softbarrier poison machinery carried over the
+// wire. Whatever kills an episode — a client disconnecting mid-session, a
+// stall caught by the session's watchdog, a protocol violation, server
+// shutdown — poisons the session, which broadcasts the
+// softbarrier.EncodePoisonCause wire form of the first cause to every
 // member socket. Remote waiters therefore fail exactly like local ones:
 // errors.As recovers the *StallError naming who never arrived, instead of
 // the client hanging on a dead episode.
 //
 // The wire protocol is eleven length-prefixed binary frame types (see
-// protocol.go); release fan-out assembles each frame once and writes it
+// internal/wire); release fan-out assembles each frame once and writes it
 // to each member socket in a single batched write. Handshake frames
 // (JoinReq, ShardJoin, JoinResp) carry a protocol version byte, so a
 // mixed-revision deployment is refused at join time with an error naming

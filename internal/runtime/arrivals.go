@@ -1,6 +1,9 @@
 package runtime
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // arrivalShardSize is how many participant counters share one shard — one
 // 64-byte cache line's worth of uint64s, so a shard is exactly one line.
@@ -149,4 +152,46 @@ func Missing(counts []uint64) []int {
 		}
 	}
 	return ids
+}
+
+// Watch is the stall detector every watchdog in the module runs — the
+// in-process barriers' WithWatchdog and the networked sessions' — polling
+// a's counters a few times per period d until stop is closed. An episode
+// is stalled when the counters are frozen while unequal: someone arrived
+// (its count leads) and the others made no progress. Frozen-equal
+// counters mean the barrier is idle between episodes — participants off
+// doing step work arbitrarily long — which is never reported. After d of
+// no movement, stalled receives the absent ids and how long nothing
+// moved, so the error it raises can say who to go debug. While paused
+// reports true (a poisoned barrier) nothing is scanned and the clock
+// restarts.
+func Watch(a *Arrivals, d time.Duration, stop <-chan struct{}, paused func() bool, stalled func(missing []int, waited time.Duration)) {
+	tick := d / 4
+	if tick < 100*time.Microsecond {
+		tick = 100 * time.Microsecond
+	}
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	var prev []uint64
+	last := time.Now() // when progress (or quiescence) was last observed
+	for {
+		select {
+		case <-stop:
+			return
+		case <-ticker.C:
+		}
+		if paused() {
+			last = time.Now()
+			continue
+		}
+		var changed, equal bool
+		prev, changed, equal = a.Scan(prev)
+		if changed || equal {
+			last = time.Now()
+			continue
+		}
+		if waited := time.Since(last); waited >= d {
+			stalled(Missing(prev), waited)
+		}
+	}
 }

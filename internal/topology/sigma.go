@@ -48,6 +48,19 @@ func (t *Tree) PlaceByDepth(order []int) (*Tree, error) {
 	return nt, nil
 }
 
+// Relabel returns the first-counter table that puts participant order[k]
+// on slots[k]: with slots = t.SlotsByDepth() it is PlaceByDepth(order)'s
+// placement, without cloning the tree. order must be a permutation of
+// [0, len(slots)); callers relabelling one tree repeatedly compute slots
+// once.
+func Relabel(slots, order []int) []int {
+	first := make([]int, len(slots))
+	for k, c := range slots {
+		first[order[k]] = c
+	}
+	return first
+}
+
 // SlotsByDepth lists the tree's attachment slots shallowest first, one
 // entry per slot holding the counter the slot belongs to: slots[k] is the
 // k-th shallowest slot's counter, and a participant placed there starts

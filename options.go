@@ -33,15 +33,14 @@ type Option func(*options)
 
 // options is the merged configuration shared by all constructors.
 type options struct {
-	observer     Observer
-	policy       rt.WaitPolicy
-	clock        func() int64
-	treeWakeup   bool
-	watchdog     time.Duration
-	poisonNotify func(error)
-	collective   *rt.Op
-	placement    PlacementPolicy
-	placeOrder   []int
+	observer   Observer
+	policy     rt.WaitPolicy
+	clock      func() int64
+	treeWakeup bool
+	watchdog   time.Duration
+	collective *rt.Op
+	placement  PlacementPolicy
+	placeOrder []int
 }
 
 func applyOptions(opts []Option) options {
@@ -91,17 +90,6 @@ func WithWaitPolicy(p WaitPolicy) Option {
 // release the goroutine; d <= 0 disables the watchdog.
 func WithWatchdog(d time.Duration) Option {
 	return func(o *options) { o.watchdog = d }
-}
-
-// WithPoisonNotify installs fn to be called exactly once when the barrier
-// is poisoned — by Poison, a context cancellation, or the WithWatchdog
-// stall detector — with the cause as its argument. The hook runs on the
-// poisoning goroutine after local waiters have been woken, so it may block
-// (a networked coordinator uses it to broadcast the wire-encoded cause to
-// remote waiters) without delaying the local release. After Reset, the
-// next poisoning notifies again.
-func WithPoisonNotify(fn func(error)) Option {
-	return func(o *options) { o.poisonNotify = fn }
 }
 
 // WithTreeWakeup selects tree-propagated wakeup on TreeBarrier: released

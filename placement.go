@@ -73,38 +73,3 @@ func placeTree(tree *topology.Tree, order []int) *topology.Tree {
 	}
 	return placed
 }
-
-// policyOrder asks pol for a placement order for p participants. It
-// returns nil — keep the current placement — when the policy has no
-// opinion or its opinion is for a different membership (stale history
-// straddling a resize).
-func policyOrder(pol PlacementPolicy, p int) []int {
-	if pol == nil {
-		return nil
-	}
-	order := pol.Order()
-	if len(order) != p {
-		return nil
-	}
-	return order
-}
-
-// sameOrder reports whether two placement orders are equal, treating nil
-// as the identity order (the natural placement a nil-order tree has).
-func sameOrder(a, b []int, p int) bool {
-	if a == nil && b == nil {
-		return true
-	}
-	idx := func(o []int, k int) int {
-		if o == nil {
-			return k
-		}
-		return o[k]
-	}
-	for k := 0; k < p; k++ {
-		if idx(a, k) != idx(b, k) {
-			return false
-		}
-	}
-	return true
-}

@@ -38,33 +38,32 @@ func (e *StallError) Error() string {
 // parked and spinning waiter escapes, and clear reinitializes its episode
 // state so Reset can return the barrier to service.
 type poisonCore struct {
-	wake   func()      // poison the barrier's wait primitives
-	clear  func()      // reinitialize episode state; called only at quiescence
-	notify func(error) // WithPoisonNotify hook; nil when not installed
+	wake  func() // poison the barrier's wait primitives
+	clear func() // reinitialize episode state; called only at quiescence
 
 	state atomic.Uint32 // 0 healthy, 1 poisoned; written after err below
 	mu    sync.Mutex
 	err   error
 
 	// arrived counts each participant's arrivals (1-based episodes). The
-	// owner bumps its own padded slot; only the watchdog — and, through
-	// the promoted Arrivals method, remote coordinators — reads across.
+	// owner bumps its own slot; only the watchdog reads across.
 	arrived *rt.Arrivals
 
 	wdStop chan struct{}
 	wdOnce sync.Once
 }
 
-// initPoison wires the core. watchdog > 0 starts the stall detector;
-// notify, when non-nil, is invoked once when the barrier is poisoned.
-func (c *poisonCore) initPoison(p int, watchdog time.Duration, notify func(error), wake, clear func()) {
+// initPoison wires the core. watchdog > 0 starts the stall detector,
+// which poisons the barrier with a StallError naming the absent ids.
+func (c *poisonCore) initPoison(p int, watchdog time.Duration, wake, clear func()) {
 	c.wake = wake
 	c.clear = clear
-	c.notify = notify
 	c.arrived = rt.NewArrivals(p)
 	if watchdog > 0 {
 		c.wdStop = make(chan struct{})
-		go c.runWatchdog(watchdog)
+		go rt.Watch(c.arrived, watchdog, c.wdStop, c.poisoned, func(missing []int, waited time.Duration) {
+			c.Poison(&StallError{Missing: missing, Waited: waited})
+		})
 	}
 }
 
@@ -76,13 +75,6 @@ func (c *poisonCore) noteArrive(id int) { c.arrived.Note(id) }
 // application step; the counters restart from zero and the watchdog's
 // next Scan observes the length change as progress.
 func (c *poisonCore) resizeArrivals(p int) { c.arrived.Resize(p) }
-
-// Arrivals returns a snapshot of the per-participant arrival counters:
-// element id is how many episodes participant id has arrived at since
-// construction (or the last Reset). It is the hook a remote coordinator
-// uses to report per-client progress; the snapshot is taken slot by slot
-// and is only episode-consistent at a quiescent point.
-func (c *poisonCore) Arrivals() []uint64 { return c.arrived.Snapshot(nil) }
 
 // poisoned is the hot-path check: one atomic load while healthy.
 func (c *poisonCore) poisoned() bool { return c.state.Load() != 0 }
@@ -108,14 +100,6 @@ func (c *poisonCore) Poison(err error) {
 	// that observes the poisoned state finds a non-nil Err.
 	c.state.Store(1)
 	c.wake()
-	// Notify after the local waiters are released: the hook typically does
-	// I/O (a networked barrier broadcasting the cause), and nothing it can
-	// observe regresses — state and err are already published. Only the
-	// goroutine that won the first-poison race runs it, so the hook fires
-	// exactly once per poisoning.
-	if c.notify != nil {
-		c.notify(err)
-	}
 }
 
 // Err returns the poison error, or nil while the barrier is healthy.
@@ -148,46 +132,6 @@ func (c *poisonCore) Reset() {
 func (c *poisonCore) Close() {
 	if c.wdStop != nil {
 		c.wdOnce.Do(func() { close(c.wdStop) })
-	}
-}
-
-// runWatchdog polls the arrival counters a few times per period d. An
-// episode is stalled when the counters are frozen while unequal: someone
-// arrived (its count leads) and the others made no progress. Frozen-equal
-// counters mean the barrier is idle between episodes — participants off
-// doing step work arbitrarily long — which is never poisoned. After d of
-// no movement the core is poisoned with a StallError naming the absent
-// ids, so the error that unblocks everyone says who to go debug.
-func (c *poisonCore) runWatchdog(d time.Duration) {
-	tick := d / 4
-	if tick < 100*time.Microsecond {
-		tick = 100 * time.Microsecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	var prev []uint64
-	last := time.Now() // when progress (or quiescence) was last observed
-	for {
-		select {
-		case <-c.wdStop:
-			return
-		case <-ticker.C:
-		}
-		if c.poisoned() {
-			last = time.Now()
-			continue
-		}
-		var changed, equal bool
-		prev, changed, equal = c.arrived.Scan(prev)
-		if changed || equal {
-			last = time.Now()
-			continue
-		}
-		stalled := time.Since(last)
-		if stalled < d {
-			continue
-		}
-		c.Poison(&StallError{Missing: rt.Missing(prev), Waited: stalled})
 	}
 }
 

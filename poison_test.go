@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -547,44 +546,9 @@ func TestDecodePoisonCauseTotal(t *testing.T) {
 	}
 }
 
-// TestWithPoisonNotifyFiresOncePerPoisoning: the notify hook runs exactly
-// once per poisoning no matter how many goroutines race to poison, fires
-// after local waiters are woken, and arms again after Reset.
-func TestWithPoisonNotifyFiresOncePerPoisoning(t *testing.T) {
-	var calls atomic.Int32
-	var last atomic.Value
-	b := NewCombiningTree(4, 2, WithPoisonNotify(func(err error) {
-		calls.Add(1)
-		last.Store(err)
-	}))
-
-	cause := errors.New("first")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.Poison(cause)
-		}()
-	}
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("notify fired %d times for one poisoning, want 1", n)
-	}
-	if got := last.Load(); got != cause {
-		t.Errorf("notify saw %v, want the winning cause %v", got, cause)
-	}
-
-	b.Reset()
-	b.Poison(errors.New("second"))
-	if n := calls.Load(); n != 2 {
-		t.Errorf("notify fired %d times after Reset+Poison, want 2", n)
-	}
-}
-
-// TestArrivalsSnapshot checks the exported per-participant arrival
-// counters a remote coordinator reads: they count episodes per id, are
-// episode-consistent at quiescent points, and Reset zeroes them.
+// TestArrivalsSnapshot checks the per-participant arrival counters the
+// watchdog scans: they count episodes per id, are episode-consistent at
+// quiescent points, and Reset zeroes them.
 func TestArrivalsSnapshot(t *testing.T) {
 	const p, episodes = 3, 5
 	b := NewCombiningTree(p, 2)
@@ -599,9 +563,9 @@ func TestArrivalsSnapshot(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
-	counts := b.Arrivals()
+	counts := b.arrived.Snapshot(nil)
 	if len(counts) != p {
-		t.Fatalf("Arrivals() has %d slots, want %d", len(counts), p)
+		t.Fatalf("arrival counters have %d slots, want %d", len(counts), p)
 	}
 	for id, n := range counts {
 		if n != episodes {
@@ -609,9 +573,9 @@ func TestArrivalsSnapshot(t *testing.T) {
 		}
 	}
 	b.Reset()
-	for _, n := range b.Arrivals() {
+	for _, n := range b.arrived.Snapshot(nil) {
 		if n != 0 {
-			t.Fatalf("Reset left arrival counts %v, want zeros", b.Arrivals())
+			t.Fatalf("Reset left arrival counts %v, want zeros", b.arrived.Snapshot(nil))
 		}
 	}
 }

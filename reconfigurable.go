@@ -42,10 +42,9 @@ type ReconfigurableBarrier struct {
 	rec  *rt.Recorder      // always active: the control loop needs the spreads
 	red  *rt.Reducer       // payload reducer; nil without WithCollective
 
-	// Predictive straggler placement (WithPlacementPolicy). place and
-	// lagBuf are touched only by the releasing participant.
-	place  PlacementPolicy
-	lagBuf []float64
+	// Predictive straggler placement (WithPlacementPolicy); nil when off.
+	// Touched only by the releasing participant.
+	place *reconfig.Placement
 	poisonCore
 }
 
@@ -140,7 +139,7 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 		panic("softbarrier: tree degree must be ≥ 2")
 	}
 	o := applyOptions(opts)
-	b := &ReconfigurableBarrier{tc: cfg.Tc, place: o.placement}
+	b := &ReconfigurableBarrier{tc: cfg.Tc, place: reconfig.NewPlacement(o.placement)}
 	b.gate.Init(o.policy)
 	b.rec = o.recorder(p, true)
 	b.est.Init(rt.DefaultSigmaWeight)
@@ -158,7 +157,7 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 	st0 := newRCState(nil, b.ctrl.Current(), 0, b.place != nil)
 	b.state.Store(st0)
 	b.red = o.reducer(p, len(st0.counters))
-	b.initPoison(p, o.watchdog, o.poisonNotify,
+	b.initPoison(p, o.watchdog,
 		func() { b.gate.Poison() },
 		func() {
 			st := b.state.Load()
@@ -224,10 +223,7 @@ func (st *rcState) withPlacement(order []int, epochGen uint64) *rcState {
 	if next.slots == nil {
 		next.slots = st.tree.SlotsByDepth()
 	}
-	next.first = make([]int, st.p)
-	for k, c := range next.slots {
-		next.first[order[k]] = c
-	}
+	next.first = topology.Relabel(next.slots, order)
 	next.order = order
 	return &next
 }
@@ -371,16 +367,12 @@ func (b *ReconfigurableBarrier) release(st *rcState) {
 	seq := b.gate.Seq()
 	m, _ := b.rec.Measure(seq)
 	b.ctrl.Observe(m.Spread)
-	if b.place != nil {
-		if b.lagBuf = b.rec.LagsInto(seq, b.lagBuf); len(b.lagBuf) > 0 {
-			b.place.Observe(b.lagBuf)
-		}
-	}
+	b.place.Observe(b.rec, seq)
 	if plan, ok := b.ctrl.Evaluate(); ok {
 		// The new epoch's first episode runs at the generation the Open
 		// below advances to.
 		b.apply(st, plan, seq+1)
-	} else if order := b.duePlacementOrder(st); order != nil {
+	} else if order := b.place.Due(b.ctrl, st.order, st.p); order != nil {
 		b.applyPlacement(st, order, seq+1)
 	}
 	cur := b.state.Load()
@@ -388,37 +380,10 @@ func (b *ReconfigurableBarrier) release(st *rcState) {
 	b.gate.Open()
 }
 
-// duePlacementOrder decides, on the replan cadence, whether the policy
-// wants the running epoch's slots re-ordered: it returns the new order,
-// or nil when none is due (off cadence, no policy opinion, opinion for a
-// stale membership, or unchanged from the epoch's current placement).
-// Order() is consumed at most once per release — hysteresis policies
-// record what they emit.
-func (b *ReconfigurableBarrier) duePlacementOrder(st *rcState) []int {
-	if b.place == nil {
-		return nil
-	}
-	n := b.ctrl.Episodes()
-	if n == 0 || n%b.ctrl.Config().ReplanEvery != 0 {
-		return nil
-	}
-	order := policyOrder(b.place, st.p)
-	if order == nil || sameOrder(order, st.order, st.p) {
-		return nil
-	}
-	return order
-}
-
 // apply installs plan as the running epoch. It must run at a quiescent
 // point: the release path, or a caller-synchronized Resize.
 func (b *ReconfigurableBarrier) apply(prev *rcState, plan reconfig.Plan, epochGen uint64) {
-	order := policyOrder(b.place, plan.P)
-	if order == nil && len(prev.order) == plan.P {
-		// The policy has no (new) opinion for this membership; keep the
-		// placement the previous epoch ran with rather than snapping back
-		// to the identity order.
-		order = prev.order
-	}
+	order := b.place.ForEpoch(prev.order, plan.P)
 	next := newRCState(prev, plan, epochGen, b.place != nil)
 	if order != nil {
 		next = next.withPlacement(order, epochGen)
@@ -528,15 +493,6 @@ func (b *ReconfigurableBarrier) AwaitResult(id int, out []byte) error {
 		b.red.CopyResult(cur.myGen[id].V, out)
 	}
 	return nil
-}
-
-// Reduced returns the published reduction of the given episode — see
-// TreeBarrier.Reduced.
-func (b *ReconfigurableBarrier) Reduced(episode uint64) []byte {
-	if b.red == nil {
-		return nil
-	}
-	return b.red.Result(episode)
 }
 
 // arriveColl is Arrive carrying a payload: Arrive's drain/hold protocol,

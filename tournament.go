@@ -52,7 +52,7 @@ func NewTournament(p int, opts ...Option) *TournamentBarrier {
 	b.local = make([]rt.PaddedUint64, p)
 	b.gate.Init(o.policy)
 	b.rec = o.recorder(p, false)
-	b.initPoison(p, o.watchdog, o.poisonNotify,
+	b.initPoison(p, o.watchdog,
 		func() {
 			b.gate.Poison()
 			for r := range b.arrive {

@@ -87,7 +87,7 @@ func newTreeBarrier(tree *topology.Tree, opts []Option) *TreeBarrier {
 	}
 	b.rec = o.recorder(tree.P, false)
 	b.red = o.reducer(tree.P, len(tree.Counters))
-	b.initPoison(tree.P, o.watchdog, o.poisonNotify,
+	b.initPoison(tree.P, o.watchdog,
 		func() {
 			b.gate.Poison()
 			for i := range b.wakeFlag {
@@ -132,15 +132,6 @@ func (b *TreeBarrier) Depths() []int {
 		d[id] = b.tree.Depth(b.tree.FirstCounter(id))
 	}
 	return d
-}
-
-// LagsInto reads the given episode's per-participant arrival lags
-// (seconds behind the episode's earliest arrival) into dst, which is
-// reused when it has the capacity. Like the recorder it wraps, it is
-// releaser-only before the episode's release; it returns nil on a
-// barrier built without an observer.
-func (b *TreeBarrier) LagsInto(episode uint64, dst []float64) []float64 {
-	return b.rec.LagsInto(episode, dst)
 }
 
 // Wait blocks until all participants arrive.
@@ -256,18 +247,6 @@ func (b *TreeBarrier) AwaitResult(id int, out []byte) error {
 	}
 	checkID(id, b.p)
 	return b.finishColl(id, b.myGen[id].V, true, out)
-}
-
-// Reduced returns the published reduction of the given episode, for
-// coordinators that drive the barrier through ArriveReduce on behalf of
-// remote participants (internal/netbarrier). The slice is read-only and
-// valid until the episode two generations later is published; it is nil
-// without WithCollective.
-func (b *TreeBarrier) Reduced(episode uint64) []byte {
-	if b.red == nil {
-		return nil
-	}
-	return b.red.Result(episode)
 }
 
 // arriveColl is Arrive carrying a payload: mode selects how the
